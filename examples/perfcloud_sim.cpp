@@ -2,7 +2,9 @@
 //
 // Compose a cluster, a workload, antagonists, and a mitigation scheme from
 // the command line; get job completion times, deviation-signal stats, and
-// (optionally) a CSV trace for plotting.
+// (optionally) a trace for plotting: `--csv PATH` streams every host's
+// deviation signals to PATH and the cap, identification and migration events
+// to PATH with its extension replaced by .jsonl.
 //
 // Examples:
 //   perfcloud_sim                                   # defaults: quickstart-ish
@@ -11,6 +13,7 @@
 //   perfcloud_sim --benchmark terasort --fio 1 --scheme perfcloud
 //                 --csv /tmp/trace.csv --seed 7
 #include <cstdlib>
+#include <filesystem>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -20,9 +23,9 @@
 #include "baselines/late.hpp"
 #include "baselines/scheme.hpp"
 #include "exp/cluster.hpp"
+#include "exp/event_sink.hpp"
 #include "exp/report.hpp"
 #include "exp/summary.hpp"
-#include "exp/trace.hpp"
 #include "sim/stats.hpp"
 #include "workloads/benchmarks.hpp"
 
@@ -71,9 +74,16 @@ struct Options {
       << "  --scheme S           default | late | dolly-2 | dolly-4 | dolly-6 | perfcloud\n"
       << "output:\n"
       << "  --seed N             RNG seed (default 42)\n"
-      << "  --csv PATH           dump deviation-signal/cap traces to CSV\n"
+      << "  --csv PATH           perfcloud scheme: deviation signals to PATH (CSV),\n"
+      << "                       cap/identification/migration events to PATH.jsonl\n"
       << "  --help               this text\n";
   std::exit(exit_code);
+}
+
+/// The events file that accompanies a --csv trace: same path, .jsonl
+/// extension.
+std::string events_path(const std::string& csv) {
+  return std::filesystem::path(csv).replace_extension(".jsonl").string();
 }
 
 Options parse(int argc, char** argv) {
@@ -101,7 +111,13 @@ Options parse(int argc, char** argv) {
     else if (arg == "--antagonist-start") o.antagonist_start = std::stod(need_value(i));
     else if (arg == "--scheme") o.scheme = need_value(i);
     else if (arg == "--seed") o.seed = std::stoull(need_value(i));
-    else if (arg == "--csv") o.csv = need_value(i);
+    else if (arg == "--csv") {
+      o.csv = need_value(i);
+      if (events_path(o.csv) == o.csv) {
+        std::cerr << "--csv path must not end in .jsonl (the events file takes that name)\n";
+        usage(argv[0], 2);
+      }
+    }
     else {
       std::cerr << "unknown option " << arg << "\n";
       usage(argv[0], 2);
@@ -110,7 +126,9 @@ Options parse(int argc, char** argv) {
   return o;
 }
 
-double run_once(const Options& o, std::uint64_t seed, bool dump_csv) {
+double run_once(const Options& o, std::uint64_t seed, bool first_run) {
+  // Declared before the cluster so it outlives the engine hooks it binds.
+  std::unique_ptr<exp::EventSink> sink;
   exp::ClusterParams p;
   p.hosts = o.hosts;
   p.workers = o.workers;
@@ -119,16 +137,12 @@ double run_once(const Options& o, std::uint64_t seed, bool dump_csv) {
   exp::Cluster c = exp::make_cluster(p);
   c.framework->set_shared_memory_shuffle(o.shm);
 
-  std::vector<int> fio_vms;
   for (int i = 0; i < o.fio; ++i) {
-    fio_vms.push_back(
-        exp::add_fio(c, c.hosts[0], wl::FioRandomRead::Params{.start_s = o.antagonist_start}));
+    exp::add_fio(c, c.hosts[0], wl::FioRandomRead::Params{.start_s = o.antagonist_start});
   }
-  std::vector<int> stream_vms;
   for (int i = 0; i < o.stream; ++i) {
-    stream_vms.push_back(exp::add_stream(
-        c, c.hosts[0],
-        wl::StreamBenchmark::Params{.threads = 16, .start_s = o.antagonist_start}));
+    exp::add_stream(c, c.hosts[0],
+                    wl::StreamBenchmark::Params{.threads = 16, .start_s = o.antagonist_start});
   }
   for (int i = 0; i < o.oltp; ++i) {
     exp::add_oltp(c, c.hosts[0], wl::SysbenchOltp::Params{.start_s = o.antagonist_start});
@@ -139,6 +153,11 @@ double run_once(const Options& o, std::uint64_t seed, bool dump_csv) {
         base::LateSpeculator::Params{}, o.workers * 2));
   } else if (o.scheme == "perfcloud") {
     exp::enable_perfcloud(c, core::PerfCloudConfig{});
+    if (first_run && !o.csv.empty()) {
+      sink = std::make_unique<exp::EventSink>(exp::EventSink::Options{
+          .trace_csv_path = o.csv, .events_jsonl_path = events_path(o.csv)});
+      exp::attach_sink(c, *sink);
+    }
   } else if (o.scheme.rfind("dolly-", 0) == 0) {
     // handled at submission below
   } else if (o.scheme != "default") {
@@ -157,20 +176,11 @@ double run_once(const Options& o, std::uint64_t seed, bool dump_csv) {
     jct = exp::run_job(c, job);
   }
 
-  if (dump_csv) {
+  if (first_run) {
     exp::print(std::cout, exp::summarize(*c.framework));
   }
-  if (dump_csv && !o.csv.empty() && o.scheme == "perfcloud") {
-    exp::TraceRecorder rec;
-    rec.add("iowait_dev", c.node_manager(0).io_signal("hadoop"));
-    rec.add("cpi_dev", c.node_manager(0).cpi_signal("hadoop"));
-    for (const int vm : fio_vms) {
-      rec.add("io_cap_vm" + std::to_string(vm), c.node_manager(0).io_cap_series(vm));
-    }
-    for (const int vm : stream_vms) {
-      rec.add("cpu_cap_vm" + std::to_string(vm), c.node_manager(0).cpu_cap_series(vm));
-    }
-    rec.write_csv(o.csv);
+  if (sink != nullptr) {
+    sink->close();
     std::cout << "trace written to " << o.csv << "\n";
   }
   return jct;

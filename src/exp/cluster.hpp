@@ -57,8 +57,8 @@ struct ClusterParams {
   /// results are byte-identical either way.
   std::optional<sim::TimeQueueKind> timeq;
   /// When > 0, workers are spread over only the first `worker_host_limit`
-  /// hosts, leaving the rest empty — the deliberately skewed clusters of
-  /// bench/micro_balance (one hot shard-task, many quiescent hosts).
+  /// hosts, leaving the rest empty — skewed clusters with a few hot hosts
+  /// and many quiescent ones.
   /// 0 spreads over every host.
   int worker_host_limit = 0;
   /// How the worker VMs land on the hosts (see Placement).

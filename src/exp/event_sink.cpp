@@ -1,7 +1,6 @@
 #include "exp/event_sink.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 #include <utility>
 
@@ -160,7 +159,6 @@ void merge_staged(std::vector<std::vector<Record>>& staged, std::vector<Record>&
 
 void EventSink::drain(sim::SimTime watermark) {
   if (closed_) return;
-  const auto t0 = std::chrono::steady_clock::now();
   registration_locked_ = true;
 
   Batch batch;
@@ -187,7 +185,6 @@ void EventSink::drain(sim::SimTime watermark) {
       write_batch(batch);
     }
   }
-  drain_seconds_ += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
 void EventSink::flush() {
@@ -252,8 +249,7 @@ void EventSink::close() {
     events_file_.close();
   }
   if (trace_file_.is_open()) {
-    // Header-only file when no sample ever arrived, like an empty
-    // TraceRecorder.
+    // Header-only file when no sample ever arrived.
     if (csv_ == nullptr) csv_ = std::make_unique<CsvGridWriter>(trace_file_, columns_);
     csv_->finish();
     trace_file_.close();

@@ -150,10 +150,6 @@ class EventSink : public sim::EmitSink {
   [[nodiscard]] std::uint64_t samples_recorded() const { return samples_recorded_; }
   [[nodiscard]] std::uint64_t events_recorded() const { return events_recorded_; }
   [[nodiscard]] std::uint64_t batches_drained() const { return batches_drained_; }
-  /// Cumulative engine-thread seconds spent inside drain() — the emission
-  /// cost left on the barrier phase (merge + handoff in async mode; merge +
-  /// formatting + file I/O in sync mode). What bench/micro_emit compares.
-  [[nodiscard]] double drain_seconds() const { return drain_seconds_; }
 
  private:
   struct Sample {
@@ -209,7 +205,6 @@ class EventSink : public sim::EmitSink {
   std::uint64_t samples_recorded_ = 0;
   std::uint64_t events_recorded_ = 0;
   std::uint64_t batches_drained_ = 0;
-  double drain_seconds_ = 0.0;
 
   // Writer-thread handoff (async mode). All guarded by mu_.
   std::thread writer_;

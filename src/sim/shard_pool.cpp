@@ -13,10 +13,10 @@ const char* to_string(ShardSchedule s) {
 
 namespace {
 
-/// Chunk size for a work-stealing claim starting at `pos` (claim-order
-/// position, not task index). The head of a cost-desc order holds the heavy
-/// tasks, so the first ~2*shards claims take one task each; the cheap tail
-/// is claimed in linearly growing chunks to keep CAS traffic low.
+/// Chunk size for a work-stealing claim starting at index `pos`. The first
+/// 4*shards tasks are claimed one at a time, so no shard sits on a block of
+/// unclaimed work while others idle; later claims grow linearly to keep CAS
+/// traffic low.
 std::size_t ws_chunk(std::size_t pos, unsigned shards) {
   return std::clamp<std::size_t>(pos / (2 * static_cast<std::size_t>(shards)),
                                  std::size_t{1}, std::size_t{64});
@@ -42,17 +42,13 @@ ShardPool::~ShardPool() {
 }
 
 void ShardPool::run(std::size_t n, const std::function<void(std::size_t)>& body,
-                    ShardSchedule schedule, const std::vector<std::uint32_t>* order) {
+                    ShardSchedule schedule) {
   if (n == 0) return;
   if (n > 0xffffffffull) throw std::invalid_argument("ShardPool: batch too large");
-  if (order != nullptr && order->size() != n) {
-    throw std::invalid_argument("ShardPool: claim order must cover every task");
-  }
   std::uint32_t gen;
   {
     std::lock_guard<std::mutex> lk(mu_);
     body_ = &body;
-    order_ = order;
     n_ = n;
     schedule_ = schedule;
     error_ = nullptr;
@@ -67,7 +63,6 @@ void ShardPool::run(std::size_t n, const std::function<void(std::size_t)>& body,
     std::unique_lock<std::mutex> lk(mu_);
     cv_done_.wait(lk, [&] { return remaining_.load(std::memory_order_acquire) == 0; });
     body_ = nullptr;
-    order_ = nullptr;
     error = error_;
     error_ = nullptr;
   }
@@ -87,14 +82,12 @@ void ShardPool::drain_batch(std::uint32_t gen) {
   // (or superseded), the claim loop below backs off before any of these are
   // dereferenced, so a stale copy is safe.
   const std::function<void(std::size_t)>* body;
-  const std::vector<std::uint32_t>* order;
   std::size_t n;
   ShardSchedule schedule;
   unsigned shards;
   {
     std::lock_guard<std::mutex> lk(mu_);
     body = body_;
-    order = order_;
     n = n_;
     schedule = schedule_;
     shards = this->shards();
@@ -123,9 +116,8 @@ void ShardPool::drain_batch(std::uint32_t gen) {
 
     std::exception_ptr error;
     for (std::size_t k = pos; k < pos + count; ++k) {
-      const std::size_t index = order != nullptr ? (*order)[k] : k;
       try {
-        (*body)(index);
+        (*body)(k);
       } catch (...) {
         // Keep executing: the barrier must complete so the engine thread can
         // rethrow without leaving workers mid-batch.

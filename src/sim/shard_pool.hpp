@@ -14,12 +14,11 @@
 //    single expensive task (a straggler-victim + antagonist host) serializes
 //    behind everything else in its block while the other shards idle at the
 //    barrier.
-//  - kWorkStealing: indices are claimed from one shared atomic cursor in
-//    growing chunks, following an optional caller-provided order (the engine
-//    passes a cost-sorted heavy-first order). Heavy tasks are claimed singly
-//    at the head; the cheap tail is claimed in chunks to keep cursor traffic
-//    low. A heavy task then occupies exactly one shard while every other
-//    shard drains the rest.
+//  - kWorkStealing: indices are claimed in index order from one shared
+//    atomic cursor in growing chunks. The first 4*shards tasks are claimed
+//    one at a time; later claims take linearly larger chunks to keep cursor
+//    traffic low. A heavy task then occupies only the shard that claimed it
+//    while every other shard keeps claiming the rest.
 //
 // Determinism: which worker runs which task — and in which order — is
 // scheduling-dependent under BOTH disciplines, but because tasks are
@@ -41,8 +40,8 @@
 namespace perfcloud::sim {
 
 /// Claim discipline for a sharded batch. kWorkStealing is the engine
-/// default; kStatic is kept as the measurable baseline (bench/micro_balance)
-/// and as a second schedule for the output-identity gates.
+/// default; kStatic is kept as a second schedule for the output-identity
+/// gates (PERFCLOUD_SCHED).
 enum class ShardSchedule { kStatic, kWorkStealing };
 
 [[nodiscard]] const char* to_string(ShardSchedule s);
@@ -62,13 +61,10 @@ class ShardPool {
   }
 
   /// Run body(0..n-1) across the pool and wait for all of them (the
-  /// barrier). `order`, when non-null, must be a permutation of [0, n) and
-  /// gives the claim order (the engine passes cost-desc); null claims in
-  /// index order. If any task throws, the remaining tasks still run, the
+  /// barrier). If any task throws, the remaining tasks still run, the
   /// barrier completes, and the first exception captured is rethrown here.
   void run(std::size_t n, const std::function<void(std::size_t)>& body,
-           ShardSchedule schedule = ShardSchedule::kWorkStealing,
-           const std::vector<std::uint32_t>* order = nullptr);
+           ShardSchedule schedule = ShardSchedule::kWorkStealing);
 
  private:
   void worker_loop();
@@ -97,7 +93,6 @@ class ShardPool {
   std::uint32_t generation_ = 0;
   bool shutdown_ = false;
   const std::function<void(std::size_t)>* body_ = nullptr;
-  const std::vector<std::uint32_t>* order_ = nullptr;
   std::size_t n_ = 0;
   ShardSchedule schedule_ = ShardSchedule::kWorkStealing;
   std::exception_ptr error_;  // first failure of the running batch

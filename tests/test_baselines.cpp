@@ -3,10 +3,12 @@
 #include <memory>
 #include <utility>
 
+#include "baselines/aimd.hpp"
 #include "baselines/dolly.hpp"
 #include "baselines/late.hpp"
 #include "baselines/scheme.hpp"
 #include "baselines/static_cap.hpp"
+#include "core/cubic.hpp"
 #include "exp/cluster.hpp"
 #include "sim/rng.hpp"
 #include "workloads/benchmarks.hpp"
@@ -170,6 +172,52 @@ TEST(Late, ZeroProgressStragglerIsPickedFirst) {
   EXPECT_EQ(picks[0].stage, 0u);
   EXPECT_EQ(picks[0].task, 0u);  // the stalled task sorts first (est = +inf)
   EXPECT_EQ(picks[1].task, 1u);
+}
+
+// --- AIMD ablation controller ---
+
+TEST(Aimd, StartsAtBaseline) {
+  base::AimdController c({}, 2.0e6);
+  EXPECT_DOUBLE_EQ(c.cap(), 1.0);
+  EXPECT_DOUBLE_EQ(c.cap_absolute(), 2.0e6);
+}
+
+TEST(Aimd, MultiplicativeDecreaseAdditiveIncrease) {
+  base::AimdController c(base::AimdController::Params{.beta = 0.8, .alpha = 0.1}, 1.0);
+  EXPECT_NEAR(c.step(true), 0.2, 1e-12);
+  EXPECT_NEAR(c.step(false), 0.3, 1e-12);
+  EXPECT_NEAR(c.step(false), 0.4, 1e-12);
+}
+
+TEST(Aimd, BottomsOutAtMinCap) {
+  base::AimdController c(base::AimdController::Params{.min_cap_fraction = 0.05}, 1.0);
+  for (int i = 0; i < 10; ++i) c.step(true);
+  EXPECT_DOUBLE_EQ(c.cap(), 0.05);
+}
+
+TEST(Aimd, LiftsAfterEnoughIncrease) {
+  base::AimdController c(base::AimdController::Params{.alpha = 0.5, .cap_lift_fraction = 2.0}, 1.0);
+  c.step(false);
+  EXPECT_FALSE(c.lifted());
+  c.step(false);
+  EXPECT_TRUE(c.lifted());
+}
+
+TEST(Aimd, LinearRecoveryIsSlowerThanCubicProbing) {
+  // After a decrease, CUBIC overtakes AIMD's linear ramp well before the
+  // lift point — the probing-region advantage the ablation bench measures.
+  core::PerfCloudConfig cfg;
+  core::CubicController cubic(cfg, 1.0);
+  base::AimdController aimd(base::AimdController::Params{}, 1.0);
+  cubic.step(true);
+  aimd.step(true);
+  double cubic_cap = 0.0;
+  double aimd_cap = 0.0;
+  for (int i = 0; i < 10; ++i) {
+    cubic_cap = cubic.step(false);
+    aimd_cap = aimd.step(false);
+  }
+  EXPECT_GT(cubic_cap, aimd_cap);
 }
 
 }  // namespace

@@ -208,8 +208,9 @@ TEST(Engine, ShardedPeriodicParallelMatchesSequential) {
     e.set_shards(shards);
     e.set_schedule(schedule);
     // One result slot per task: tasks write disjoint elements, so the
-    // parallel sweep is race-free and comparable bit-for-bit. Long enough
-    // to cross the work-stealing rebalance epochs.
+    // parallel sweep is race-free and comparable bit-for-bit. Sixteen tasks
+    // at four shards take both the single-task and the chunked work-stealing
+    // claims.
     std::vector<double> slots(16, 0.0);
     ShardedPeriodic& sp = e.every_sharded(1.0, SimTime(1.0));
     for (std::size_t i = 0; i < slots.size(); ++i) {

@@ -1,7 +1,7 @@
 // EventSink: the staged, optionally-asynchronous emission subsystem. The
-// load-bearing property is byte-identity — sync inline writes, the async
-// writer thread, and the batch TraceRecorder path must all produce the same
-// files for the same records.
+// load-bearing property is byte-identity — sync inline writes and the async
+// writer thread must produce the same files for the same records, and those
+// files must hold exactly the expected grid and event lines.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -12,8 +12,6 @@
 #include "exp/event_sink.hpp"
 #include "exp/report.hpp"
 #include "exp/summary.hpp"
-#include "exp/trace.hpp"
-#include "sim/time_series.hpp"
 
 namespace perfcloud::exp {
 namespace {
@@ -46,6 +44,17 @@ TEST(CsvGridWriter, ToleranceCollapsesRowsAndLastRecordWins) {
   w.add(0, 1.0 + 2e-7, 2.0);  // same instant up to tolerance: one row, last wins
   w.finish();
   EXPECT_EQ(os.str(), "t,a\n1,2\n");
+
+  // Two columns whose periodic schedules drifted apart by accumulated FP
+  // error share one row per instant, not two half-empty rows.
+  std::ostringstream drifted;
+  CsvGridWriter d(drifted, {"alpha", "beta"});
+  d.add(0, 1.0, 10.0);
+  d.add(1, 1.0 + 2e-7, 100.0);
+  d.add(0, 2.0, 20.0);
+  d.add(1, 2.0 + 5e-7, 200.0);
+  d.finish();
+  EXPECT_EQ(drifted.str(), "t,alpha,beta\n1,10,100\n2,20,200\n");
 }
 
 TEST(CsvGridWriter, TimeRegressionThrows) {
@@ -122,34 +131,35 @@ TEST(EventSink, SyncAndAsyncProduceByteIdenticalFiles) {
 }
 
 TEST(EventSink, MatchesTraceRecorderBytesForIdenticalSamples) {
-  // The streaming sink and the batch recorder share one merge/format path;
-  // feeding both the same gappy two-column sample set must give equal bytes.
-  sim::TimeSeries a("a");
-  sim::TimeSeries b("b");
-  for (int i = 0; i < 50; ++i) {
-    const sim::SimTime t(i * 2.0);
-    a.add(t, 3.0 * i);
-    if (i % 4 != 0) b.add(t, 100.0 - i);
-  }
-  TraceRecorder rec;
-  rec.add("left", a);
-  rec.add("right", b);
-  const std::string rec_path = "/tmp/perfcloud_sink_recorder.csv";
-  rec.write_csv(rec_path);
-
-  const std::string sink_path = "/tmp/perfcloud_sink_streamed.csv";
+  // A gappy two-column sample set streamed through the async writer with
+  // interleaved drains gives exactly the aligned grid: one row per instant,
+  // an empty cell where a column has no sample.
+  const std::string path = "/tmp/perfcloud_sink_streamed.csv";
   {
-    EventSink sink({.trace_csv_path = sink_path, .async = true});
+    EventSink sink({.trace_csv_path = path, .async = true});
     const auto left = sink.add_trace_column("left");
     const auto right = sink.add_trace_column("right");
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      sink.emit_sample(left, a.time(i), a.value(i));
-      if (const auto v = b.value_at(a.time(i))) sink.emit_sample(right, a.time(i), *v);
-      if (i % 5 == 0) sink.drain(a.time(i));
+    for (int i = 0; i < 50; ++i) {
+      const sim::SimTime t(i * 2.0);
+      sink.emit_sample(left, t, 3.0 * i);
+      if (i % 4 != 0) sink.emit_sample(right, t, 100.0 - i);
+      if (i % 5 == 0) sink.drain(t);
     }
     sink.close();
   }
-  EXPECT_EQ(slurp(sink_path), slurp(rec_path));
+  const std::string want =
+      "t,left,right\n"
+      "0,0,\n2,3,99\n4,6,98\n6,9,97\n8,12,\n"
+      "10,15,95\n12,18,94\n14,21,93\n16,24,\n18,27,91\n"
+      "20,30,90\n22,33,89\n24,36,\n26,39,87\n28,42,86\n"
+      "30,45,85\n32,48,\n34,51,83\n36,54,82\n38,57,81\n"
+      "40,60,\n42,63,79\n44,66,78\n46,69,77\n48,72,\n"
+      "50,75,75\n52,78,74\n54,81,73\n56,84,\n58,87,71\n"
+      "60,90,70\n62,93,69\n64,96,\n66,99,67\n68,102,66\n"
+      "70,105,65\n72,108,\n74,111,63\n76,114,62\n78,117,61\n"
+      "80,120,\n82,123,59\n84,126,58\n86,129,57\n88,132,\n"
+      "90,135,55\n92,138,54\n94,141,53\n96,144,\n98,147,51\n";
+  EXPECT_EQ(slurp(path), want);
 }
 
 TEST(EventSink, WritesEventsAndSummaryJsonl) {
@@ -173,6 +183,7 @@ TEST(EventSink, WritesEventsAndSummaryJsonl) {
 }
 
 TEST(EventSink, EmptySinkWritesHeaderOnlyCsvLikeEmptyRecorder) {
+  // No sample ever arrived: the file is the header row alone.
   const std::string path = "/tmp/perfcloud_sink_empty.csv";
   {
     EventSink sink({.trace_csv_path = path, .async = true});
@@ -202,6 +213,77 @@ TEST(EventSink, EmitAfterCloseThrows) {
 
 TEST(EventSink, BadPathThrows) {
   EXPECT_THROW(EventSink({.trace_csv_path = "/nonexistent-dir/x.csv"}), std::runtime_error);
+}
+
+// --- Trace recording ---
+// The cases exp::TraceRecorder was held to, now asserted on EventSink, which
+// writes `perfcloud_sim --csv` traces. Each column's samples are emitted as
+// a whole series before the next column's, as the recorder took them, so the
+// sink's drain has to merge the columns into time order.
+
+TEST(TraceRecorder, WritesAlignedCsv) {
+  const std::string path = "/tmp/perfcloud_trace_test.csv";
+  {
+    EventSink sink({.trace_csv_path = path, .async = false});
+    const auto alpha = sink.add_trace_column("alpha");
+    const auto beta = sink.add_trace_column("beta");
+    sink.emit_sample(alpha, sim::SimTime(1.0), 10.0);
+    sink.emit_sample(alpha, sim::SimTime(2.0), 20.0);
+    sink.emit_sample(beta, sim::SimTime(2.0), 200.0);
+    sink.emit_sample(beta, sim::SimTime(3.0), 300.0);
+    sink.close();
+  }
+  // beta missing at t=1, both present at t=2, alpha missing at t=3.
+  EXPECT_EQ(slurp(path), "t,alpha,beta\n1,10,\n2,20,200\n3,,300\n");
+}
+
+TEST(TraceRecorder, NearDuplicateTimestampsCollapseToOneRow) {
+  // Two columns sampled at "the same" instant but drifted apart by
+  // accumulated FP error in their periodic schedules: they must land in ONE
+  // grid row, not two rows with spuriously empty cells.
+  const std::string path = "/tmp/perfcloud_trace_neardup.csv";
+  {
+    EventSink sink({.trace_csv_path = path, .async = true});
+    const auto alpha = sink.add_trace_column("alpha");
+    const auto beta = sink.add_trace_column("beta");
+    sink.emit_sample(alpha, sim::SimTime(1.0), 10.0);
+    sink.emit_sample(alpha, sim::SimTime(2.0), 20.0);
+    sink.emit_sample(beta, sim::SimTime(1.0 + 2e-7), 100.0);
+    sink.emit_sample(beta, sim::SimTime(2.0 + 5e-7), 200.0);
+    sink.close();
+  }
+  EXPECT_EQ(slurp(path), "t,alpha,beta\n1,10,100\n2,20,200\n");
+}
+
+TEST(TraceRecorder, WithinToleranceDuplicateInOneSeriesLastWins) {
+  const std::string path = "/tmp/perfcloud_trace_dupcol.csv";
+  {
+    EventSink sink({.trace_csv_path = path, .async = false});
+    const auto alpha = sink.add_trace_column("alpha");
+    sink.emit_sample(alpha, sim::SimTime(1.0), 5.0);
+    sink.emit_sample(alpha, sim::SimTime(1.0 + 2e-7), 7.0);
+    sink.close();
+  }
+  EXPECT_EQ(slurp(path), "t,alpha\n1,7\n");
+}
+
+TEST(TraceRecorder, EmptyRecorderWritesHeaderOnly) {
+  // No column registered and no sample emitted: the time column alone.
+  const std::string path = "/tmp/perfcloud_trace_empty.csv";
+  {
+    EventSink sink({.trace_csv_path = path, .async = false});
+    sink.close();
+  }
+  EXPECT_EQ(slurp(path), "t\n");
+}
+
+TEST(TraceRecorder, BadPathThrows) {
+  // Configured as `--csv` configures it: the trace and its .jsonl events file
+  // side by side in a directory that does not exist.
+  EXPECT_THROW(EventSink({.trace_csv_path = "/nonexistent-dir/x.csv",
+                          .events_jsonl_path = "/nonexistent-dir/x.jsonl",
+                          .async = false}),
+               std::runtime_error);
 }
 
 TEST(EventSink, SummaryRecordRoundTripsRunSummary) {

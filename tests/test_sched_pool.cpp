@@ -1,12 +1,11 @@
-// ShardPool edge cases: batches smaller than the pool, empty batches,
-// custom claim orders, and exceptions thrown inside tasks — under both claim
-// disciplines. A deadlocked barrier hangs these tests, so completing at all
-// is part of what they assert.
+// ShardPool edge cases: batches smaller than the pool, empty batches, and
+// exceptions thrown inside tasks — under both claim disciplines. A
+// deadlocked barrier hangs these tests, so completing at all is part of what
+// they assert.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -52,26 +51,6 @@ TEST(ShardPool, LargeBatchCoversEveryIndexOnce) {
     }
     EXPECT_EQ(total, 1000);
   }
-}
-
-TEST(ShardPool, CustomClaimOrderStillRunsEveryTask) {
-  ShardPool pool(4);
-  const std::size_t n = 64;
-  std::vector<std::uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0u);
-  std::reverse(order.begin(), order.end());
-  std::vector<std::atomic<int>> hits(n);
-  pool.run(n, [&](std::size_t i) { hits[i].fetch_add(1); }, ShardSchedule::kWorkStealing,
-           &order);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ShardPool, WrongSizedClaimOrderThrows) {
-  ShardPool pool(2);
-  const std::vector<std::uint32_t> order = {0, 1, 2};
-  EXPECT_THROW(
-      pool.run(5, [](std::size_t) {}, ShardSchedule::kWorkStealing, &order),
-      std::invalid_argument);
 }
 
 TEST(ShardPool, TaskExceptionPropagatesWithoutDeadlockingTheBarrier) {

@@ -136,10 +136,10 @@ TEST(ShardDeterminism, TraceIsIdenticalForAnyShardCount) {
   EXPECT_EQ(run_scenario(4), sharded);
 }
 
-/// The same golden-trace gate across claim disciplines: the static baseline
-/// partition and the cost-sorted work-stealing scheduler may only differ in
-/// wall-clock time, never in a single output bit — the EWMA cost model and
-/// its rebalance epochs feed claim order and nothing else.
+/// The same golden-trace gate across claim disciplines: the static block
+/// partition and the work-stealing cursor may only differ in wall-clock
+/// time, never in a single output bit — which shard runs which task feeds
+/// nothing but the schedule.
 TEST(ShardDeterminism, TraceIsIdenticalAcrossSchedulers) {
   const RunTrace ws = run_scenario(4, "", true, sim::ShardSchedule::kWorkStealing);
   const RunTrace st = run_scenario(4, "", true, sim::ShardSchedule::kStatic);

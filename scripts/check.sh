@@ -15,9 +15,10 @@ cmake --preset asan
 cmake --build --preset asan -j "$(nproc)"
 UBSAN_OPTIONS=halt_on_error=1 ctest --preset asan -j "$(nproc)" "$@"
 # The perf-label tests again, sharded, under both claim disciplines: the
-# slot-store/arena hot path and the identifier's key-based pair state run
+# slot-store hot path (the monitor's per-VM rows, the node manager's
+# retained scratch vectors) and the identifier's key-based pair state run
 # their multi-host scenarios with ASan watching for stale-slot reads after
-# VM eviction and host crashes.
+# VM eviction, migration and host crashes.
 UBSAN_OPTIONS=halt_on_error=1 PERFCLOUD_SHARDS=4 ctest --preset asan -L perf -j "$(nproc)"
 UBSAN_OPTIONS=halt_on_error=1 PERFCLOUD_SHARDS=4 PERFCLOUD_SCHED=static \
   ctest --preset asan -L perf -j "$(nproc)"

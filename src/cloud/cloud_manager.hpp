@@ -106,6 +106,10 @@ class CloudManager {
   /// unknown or already-up host.
   void restore_host(const std::string& name);
   [[nodiscard]] bool host_up(const std::string& name) const;
+  /// Liveness by provisioning index (host_names() order; hosts are only
+  /// ever appended, so an index stays valid for the run). O(1), for callers
+  /// that sweep every host.
+  [[nodiscard]] bool host_up_at(std::size_t index) const { return hosts_.at(index).up; }
   /// Names of hosts currently up, in provisioning order.
   [[nodiscard]] std::vector<std::string> up_hosts() const;
 

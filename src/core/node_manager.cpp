@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/arena.hpp"
-
 namespace perfcloud::core {
 
 const sim::TimeSeries NodeManager::kEmptySeries{};
@@ -193,38 +191,21 @@ void NodeManager::local_step(sim::SimTime now) {
   io_scores_.clear();
   cpu_scores_.clear();
 
-  // Per-quantum scratch lives in the shard's bump arena: rewound when this
-  // step returns, reset (consolidated) by the pool at the sweep barrier.
-  sim::Arena& arena = sim::scratch_arena();
-  const sim::ArenaScope scratch(arena);
-
   // The suspect signal lists are the same for every application group (they
   // depend only on the registry's suspect set), so gather them once per
   // quantum, above the group loop. Nothing inside the loop mutates the
   // monitor, so the series pointers stay valid throughout.
-  sim::ArenaVec<const sim::TimeSeries*> suspect_io(arena);
-  sim::ArenaVec<const sim::TimeSeries*> suspect_llc(arena);
-  suspect_io.resize(view_suspects_.size());
-  suspect_llc.resize(view_suspects_.size());
-  monitor_.series_batch({view_suspects_.data(), view_suspects_.size()}, suspect_io.data(),
-                        suspect_llc.data());
-  sim::ArenaVec<SuspectSignal> io_suspects(arena);
-  sim::ArenaVec<SuspectSignal> cpu_suspects(arena);
-  io_suspects.reserve(view_suspects_.size());
-  cpu_suspects.reserve(view_suspects_.size());
-  for (std::size_t i = 0; i < view_suspects_.size(); ++i) {
-    io_suspects.push_back(SuspectSignal{view_suspects_[i], suspect_io[i]});
-    cpu_suspects.push_back(SuspectSignal{view_suspects_[i], suspect_llc[i]});
+  io_suspects_.clear();
+  cpu_suspects_.clear();
+  for (int id : view_suspects_) {
+    io_suspects_.push_back(SuspectSignal{id, &monitor_.io_throughput_series(id)});
+    cpu_suspects_.push_back(SuspectSignal{id, &monitor_.llc_miss_series(id)});
   }
 
   for (const AppGroup& g : view_apps_) {
-    // Per-app scratch rewinds before the next group runs, so the arena's
-    // high-water mark scales with the largest group, not the sum.
-    const sim::ArenaScope app_scratch(arena);
-    sim::ArenaVec<const VmSample*> samples(arena);
-    samples.resize(g.vm_ids.size());
-    monitor_.latest_batch({g.vm_ids.data(), g.vm_ids.size()}, samples.data());
-    const DetectionResult det = detector_.evaluate({samples.data(), samples.size()});
+    samples_.clear();
+    for (int id : g.vm_ids) samples_.push_back(monitor_.latest(id));
+    const DetectionResult det = detector_.evaluate(samples_);
 
     sim::TimeSeries& io_sig = signal(io_signals_, g.app);
     sim::TimeSeries& cpi_sig = signal(cpi_signals_, g.app);
@@ -267,8 +248,7 @@ void NodeManager::local_step(sim::SimTime now) {
     // Victim keys 2*app / 2*app+1: stable per deviation signal for the run's
     // lifetime (AppIds are never reassigned), per the identifier's contract.
     const std::size_t io_start = io_scores_.size();
-    identifier_.score_incremental(2 * g.app, io_sig, {io_suspects.data(), io_suspects.size()},
-                                  io_scores_);
+    identifier_.score_incremental(2 * g.app, io_sig, io_suspects_, io_scores_);
     for (std::size_t i = io_start; i < io_scores_.size(); ++i) {
       const SuspectScore& s = io_scores_[i];
       if (s.antagonist && !monitor_.blacked_out(s.vm_id)) {
@@ -277,8 +257,7 @@ void NodeManager::local_step(sim::SimTime now) {
       }
     }
     const std::size_t cpu_start = cpu_scores_.size();
-    identifier_.score_incremental(2 * g.app + 1, cpi_sig,
-                                  {cpu_suspects.data(), cpu_suspects.size()}, cpu_scores_);
+    identifier_.score_incremental(2 * g.app + 1, cpi_sig, cpu_suspects_, cpu_scores_);
     for (std::size_t i = cpu_start; i < cpu_scores_.size(); ++i) {
       const SuspectScore& s = cpu_scores_[i];
       if (s.antagonist && !monitor_.blacked_out(s.vm_id)) {
@@ -296,24 +275,22 @@ void NodeManager::local_step(sim::SimTime now) {
     const sim::SimTime* t = ids.find(vm_id);
     return t != nullptr && now - *t <= cfg_.identification_memory_s;
   };
-  sim::ArenaVec<int> io_antagonists(arena);
-  sim::ArenaVec<int> cpu_antagonists(arena);
+  io_antagonists_.clear();
+  cpu_antagonists_.clear();
   if (any_io_contended) {
     for (int id : view_suspects_) {
-      if (recently_identified(io_identified_at_, id)) io_antagonists.push_back(id);
+      if (recently_identified(io_identified_at_, id)) io_antagonists_.push_back(id);
     }
   }
   if (any_cpu_contended) {
     for (int id : view_suspects_) {
-      if (recently_identified(cpu_identified_at_, id)) cpu_antagonists.push_back(id);
+      if (recently_identified(cpu_identified_at_, id)) cpu_antagonists_.push_back(id);
     }
   }
 
   if (!control_enabled_) return;
-  run_resource_control(Resource::kIo, any_io_contended,
-                       {io_antagonists.data(), io_antagonists.size()}, now);
-  run_resource_control(Resource::kCpu, any_cpu_contended,
-                       {cpu_antagonists.data(), cpu_antagonists.size()}, now);
+  run_resource_control(Resource::kIo, any_io_contended, io_antagonists_, now);
+  run_resource_control(Resource::kCpu, any_cpu_contended, cpu_antagonists_, now);
 }
 
 void NodeManager::set_cap_command_loss(double drop_probability, std::uint64_t seed) {

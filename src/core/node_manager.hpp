@@ -15,8 +15,8 @@
 // contiguous arrays and allocates nothing. The registry view (app grouping
 // + suspects) is cached against the cloud's registry version and rebuilt
 // only when placement changes. Per-quantum scratch (sample pointers,
-// suspect signal lists, antagonist ids) comes from the shard's bump arena,
-// reset at the quantum barrier.
+// suspect signal lists, antagonist ids) lives in vectors this node manager
+// owns, cleared each quantum and keeping their capacity.
 #pragma once
 
 #include <map>
@@ -287,6 +287,13 @@ class NodeManager {
   sim::SlotMap<sim::TimeSeries> cpu_cap_history_;
   std::vector<SuspectScore> io_scores_;
   std::vector<SuspectScore> cpu_scores_;
+  // local_step scratch: cleared at each use, capacity retained, so a warmed
+  // quantum allocates nothing.
+  std::vector<SuspectSignal> io_suspects_;
+  std::vector<SuspectSignal> cpu_suspects_;
+  std::vector<const VmSample*> samples_;
+  std::vector<int> io_antagonists_;
+  std::vector<int> cpu_antagonists_;
   // Cached registry view (see refresh_view), keyed to the cloud registry
   // version. view_version_ == 0 means never built (versions start at 1).
   std::uint64_t view_version_ = 0;

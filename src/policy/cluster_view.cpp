@@ -114,7 +114,7 @@ void ClusterView::refresh(sim::SimTime now) {
   max_host_llc_rate_ = 0.0;
   for (std::size_t i = 0; i < hosts_.size(); ++i) {
     HostView& h = hosts_[i];
-    h.up = cloud_.host_up(h.name);
+    h.up = cloud_.host_up_at(h.index);
     if (rebuild) rebuild_residents(h);
     refresh_host(h, *nms_[i]);
     max_host_llc_rate_ = std::max(max_host_llc_rate_, h.llc_rate);

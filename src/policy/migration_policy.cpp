@@ -243,11 +243,6 @@ double MigrationPolicy::score(const VmUsage& u, const HostView& dst) const {
   switch (params_.scoring) {
     case Scoring::kFirstFit:
       return -static_cast<double>(dst.index);
-    case Scoring::kLoadAware: {
-      const double lnorm = std::max(view_.max_host_llc_rate(), 1.0);
-      return -(dst.cpu_cores_used / dst.cores + dst.io_bps / dst.disk_bw +
-               dst.llc_rate / lnorm);
-    }
     case Scoring::kComplementary: {
       // VUPIC-style complementary placement: prefer the destination whose
       // aggregate usage vector overlaps least with the VM's own (a disk-

@@ -10,7 +10,7 @@
 // exhausted — the policy migrates the ANTAGONIST (never the victim's
 // scale-out group) to the best-scored feasible host.
 //
-// Destination choice is pluggable (first-fit / load-aware / VUPIC-style
+// Destination choice is pluggable (first-fit / VUPIC-style
 // complementary-usage scoring) and shared with the §IV-D escalation path:
 // the policy installs itself as the cloud manager's DestinationScorer, so
 // resolve_high_priority_collision ranks candidates through the same scorer.
@@ -38,7 +38,6 @@ namespace perfcloud::policy {
 /// Destination ranking among hosts that pass the hard feasibility filters.
 enum class Scoring {
   kFirstFit,        ///< Lowest provisioning index wins.
-  kLoadAware,       ///< Least normalized aggregate load wins.
   kComplementary,   ///< VUPIC-style: least usage-vector overlap wins.
 };
 

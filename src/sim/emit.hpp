@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "sim/types.hpp"
 
@@ -50,26 +49,10 @@ class EmitSink {
   /// lookup on the hot path at all. A registered-but-never-bumped counter
   /// leaves no trace in the summary, exactly as if bump_counter had never
   /// seen the key; bumps by id and by name to the same key fold into one
-  /// summary entry. The base implementation keeps the (source, key) pair
-  /// and forwards bumps through bump_counter; sinks with a real hot path
-  /// (exp::EventSink) override both for slot storage.
-  virtual CounterId add_counter(SourceId source, std::string key) {
-    registered_counters_.push_back(RegisteredCounter{source, std::move(key)});
-    return registered_counters_.size() - 1;
-  }
+  /// summary entry.
+  virtual CounterId add_counter(SourceId source, std::string key) = 0;
   /// Add `delta` to a counter registered with add_counter.
-  virtual void bump_counter_id(CounterId id, double delta = 1.0) {
-    const RegisteredCounter& c = registered_counters_.at(id);
-    bump_counter(c.source, c.key, delta);
-  }
-
- protected:
-  struct RegisteredCounter {
-    SourceId source = 0;
-    std::string key;
-  };
-  /// Registry backing the default add_counter/bump_counter_id.
-  std::vector<RegisteredCounter> registered_counters_;
+  virtual void bump_counter_id(CounterId id, double delta = 1.0) = 0;
 };
 
 }  // namespace perfcloud::sim

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "sim/arena.hpp"
-
 namespace perfcloud::sim {
 
 const char* to_string(ShardSchedule s) {
@@ -70,14 +68,6 @@ void ShardPool::run(std::size_t n, const std::function<void(std::size_t)>& body,
 }
 
 void ShardPool::drain(std::uint32_t gen) {
-  drain_batch(gen);
-  // Per-shard quantum scratch dies at the barrier: whatever this
-  // participant's tasks carved from the thread-local arena is rewound (and
-  // a grown chain consolidated) before the next batch.
-  scratch_arena().reset();
-}
-
-void ShardPool::drain_batch(std::uint32_t gen) {
   // Copy the batch parameters for `gen`. If the batch is already finished
   // (or superseded), the claim loop below backs off before any of these are
   // dereferenced, so a stale copy is safe.

@@ -71,11 +71,8 @@ class ShardPool {
   /// Claim and execute chunks of the generation-`gen` batch until none
   /// remain (or the generation has been superseded — a straggler waking
   /// late finds the claim word's generation advanced and backs off without
-  /// touching batch state). On exit the participant's thread-local scratch
-  /// arena is reset: the batch's tasks only ever used per-quantum scratch,
-  /// and nothing may outlive the barrier.
+  /// touching batch state).
   void drain(std::uint32_t gen);
-  void drain_batch(std::uint32_t gen);
 
   static std::uint64_t pack(std::uint32_t gen, std::uint32_t pos) {
     return (static_cast<std::uint64_t>(gen) << 32) | pos;

@@ -96,9 +96,9 @@ TEST(AllocGate, SteadyStateQuantumPerformsZeroHeapAllocations) {
   ASSERT_FALSE(nm.monitor().io_throughput_series(fio).empty());
 
   // Drive further control intervals by hand (the engine is idle, so this
-  // thread owns all node-manager state). Two warm-up steps let this
-  // thread's scratch arena consolidate before the bracket closes around
-  // the measured quanta.
+  // thread owns all node-manager state). Two warm-up steps let the node
+  // manager's retained scratch vectors reach their working capacity before
+  // the bracket closes around the measured quanta.
   sim::SimTime now = c.engine->now();
   for (int i = 0; i < 2; ++i) {
     now += 5.0;

@@ -2,13 +2,17 @@
 // hot path is keyed by (DESIGN.md §5i).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/monitor.hpp"
 #include "exp/cluster.hpp"
 #include "sim/interner.hpp"
 #include "sim/slot_store.hpp"
+#include "virt/hypervisor.hpp"
+#include "workloads/antagonists.hpp"
 #include "workloads/benchmarks.hpp"
 
 namespace perfcloud::sim {
@@ -167,6 +171,95 @@ TEST(SlotReuse, CrashedVmStateDoesNotResurrectUnderNewIds) {
   ASSERT_FALSE(fresh.empty());
   EXPECT_EQ(stale.size(), stale_samples);
   EXPECT_LT(fresh.size(), stale_samples + 1);
+}
+
+// The migration handoff through the monitor alone: after forget_vm, a VM
+// sampled again — the same id coming back, or a new id landing in the freed
+// slot — starts exactly like a never-seen VM: its first sample only primes
+// the counter baseline, its EWMAs seed from the raw interval rate, and the
+// gated metrics (iowait ratio, CPI) report only from their second update.
+TEST(SlotReuse, ForgottenVmReturnsToMonitorWithFreshState) {
+  hw::ServerConfig server;
+  server.disk.wait_jitter_sigma = 0.0;
+  server.memory.cpi_jitter_sigma = 0.0;
+  virt::Hypervisor hv(server, Rng(7));
+  const core::PerfCloudConfig cfg;
+  ASSERT_EQ(cfg.sample_interval_s, 5.0);
+  core::PerformanceMonitor mon(hv, cfg);
+  double t = 0.0;
+  const auto interval = [&] {
+    for (int i = 1; i <= 50; ++i) hv.tick(SimTime(t + i * 0.1), 0.1);
+    t += 5.0;
+    mon.sample(SimTime(t));
+  };
+  const auto boot_fio = [&](int id) -> virt::Vm& {
+    virt::Vm& vm = hv.boot(virt::VmConfig{.id = id, .vcpus = 2});
+    vm.attach(std::make_unique<wl::FioRandomRead>(wl::FioRandomRead::Params{}));
+    return vm;
+  };
+  // Nothing of `id` is visible: no sample, no series, zero baselines.
+  const auto expect_blank = [&](int id) {
+    EXPECT_EQ(mon.latest(id), nullptr);
+    EXPECT_TRUE(mon.io_throughput_series(id).empty());
+    EXPECT_TRUE(mon.llc_miss_series(id).empty());
+    EXPECT_EQ(mon.observed_io_bps(id), 0.0);
+    EXPECT_EQ(mon.observed_cpu_cores(id), 0.0);
+    EXPECT_EQ(mon.observed_llc_rate(id), 0.0);
+  };
+  // The sample after the priming one: every EWMA holds exactly the raw
+  // interval rate (a kept smoother would blend in the old value; fio's duty
+  // cycle makes the rates differ between intervals), one series point, and
+  // no iowait/CPI yet.
+  const auto expect_first_reading = [&](const virt::Vm& vm) {
+    const virt::CgroupStats before = vm.cgroup().stats();
+    interval();
+    const virt::CgroupStats after = vm.cgroup().stats();
+    const int id = vm.id();
+    const core::VmSample* s = mon.latest(id);
+    ASSERT_NE(s, nullptr);
+    EXPECT_FALSE(s->iowait_ratio_ms.has_value());
+    EXPECT_FALSE(s->cpi.has_value());
+    EXPECT_DOUBLE_EQ(mon.observed_io_bps(id),
+                     (after.io_service_bytes - before.io_service_bytes) / 5.0);
+    EXPECT_DOUBLE_EQ(mon.observed_cpu_cores(id), (after.cpu_time_s - before.cpu_time_s) / 5.0);
+    EXPECT_DOUBLE_EQ(mon.observed_llc_rate(id), (after.llc_misses - before.llc_misses) / 5.0);
+    EXPECT_EQ(mon.io_throughput_series(id).size(), 1u);
+    EXPECT_EQ(mon.llc_miss_series(id).size(), 1u);
+    interval();
+    s = mon.latest(id);
+    ASSERT_NE(s, nullptr);
+    EXPECT_TRUE(s->iowait_ratio_ms.has_value());
+    EXPECT_TRUE(s->cpi.has_value());
+  };
+
+  boot_fio(1);
+  mon.sample(SimTime(t));
+  for (int i = 0; i < 6; ++i) interval();
+  ASSERT_NE(mon.latest(1), nullptr);
+  ASSERT_TRUE(mon.latest(1)->iowait_ratio_ms.has_value());
+  ASSERT_TRUE(mon.latest(1)->cpi.has_value());
+  ASSERT_EQ(mon.io_throughput_series(1).size(), 6u);
+  ASSERT_GT(mon.observed_io_bps(1), 0.0);
+
+  // VM 1 departs and comes back one interval later.
+  std::unique_ptr<virt::Vm> away = hv.evict(1);
+  mon.forget_vm(1);
+  expect_blank(1);
+  interval();
+  virt::Vm& back = hv.adopt(std::move(away));
+  interval();  // re-primes only
+  expect_blank(1);
+  expect_first_reading(back);
+
+  // VM 1 leaves for good; VM 2 takes the freed slot and sees none of it.
+  away = hv.evict(1);
+  mon.forget_vm(1);
+  const virt::Vm& other = boot_fio(2);
+  interval();
+  expect_blank(2);
+  expect_blank(1);
+  expect_first_reading(other);
+  expect_blank(1);
 }
 
 }  // namespace

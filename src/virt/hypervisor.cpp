@@ -142,8 +142,7 @@ void Hypervisor::tick(sim::SimTime now, double dt) {
   // arbitrate/account/apply round is a no-op — skip it.
   if (idle_fastpath_enabled() && is_quiescent(now)) return;
 
-  std::vector<hw::TenantDemand> demands;
-  demands.reserve(vms_.size() + migration_in_.size());
+  demands_.clear();
   for (const auto& vm : vms_) {
     hw::TenantDemand d{};
     if (!vm->idle(now)) {
@@ -157,7 +156,7 @@ void Hypervisor::tick(sim::SimTime now, double dt) {
     d.io_cap_bytes_per_sec = cg.blkio_throttle_bps();
     d.io_cap_iops = cg.blkio_throttle_iops();
     d.numa_node = vm->numa_node();
-    demands.push_back(d);
+    demands_.push_back(d);
   }
 
   // Incoming pre-copy streams, after the resident VMs (positional jitter
@@ -168,14 +167,15 @@ void Hypervisor::tick(sim::SimTime now, double dt) {
     hw::TenantDemand d{};
     d.io_bytes = f.bytes_per_sec * dt;
     d.io_ops = d.io_bytes / kMigrationIoBlockBytes;
-    demands.push_back(d);
+    demands_.push_back(d);
   }
 
-  const std::vector<hw::TenantGrant> grants = server_.arbitrate(dt, demands);
+  grants_.resize(demands_.size());
+  server_.arbitrate(dt, demands_, grants_);
   for (std::size_t i = 0; i < vms_.size(); ++i) {
     Vm& vm = *vms_[i];
-    vm.cgroup().account(grants[i]);
-    if (!vm.idle(now)) vm.guest()->apply(grants[i], now, dt);
+    vm.cgroup().account(grants_[i]);
+    if (!vm.idle(now)) vm.guest()->apply(grants_[i], now, dt);
   }
 }
 

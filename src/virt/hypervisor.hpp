@@ -125,6 +125,11 @@ class Hypervisor {
   /// true answer is cached — false must be recomputed because guests finish
   /// without notifying anyone.
   mutable bool quiescent_ = false;
+  // Per-tick scratch (one slot per resident VM, then one per inflow),
+  // retained so a warmed busy host ticks without allocating. Grown on the
+  // first non-quiescent tick, never reserved up front.
+  std::vector<hw::TenantDemand> demands_;
+  std::vector<hw::TenantGrant> grants_;
 };
 
 }  // namespace perfcloud::virt

@@ -6,6 +6,7 @@
 #include "hw/allocation.hpp"
 #include "hw/tenant.hpp"
 #include "sim/rng.hpp"
+#include "hw_grants.hpp"
 
 namespace perfcloud::hw {
 namespace {
@@ -13,26 +14,26 @@ namespace {
 constexpr double kBig = 1e18;
 
 TEST(WeightedFairAllocate, EmptyClaims) {
-  EXPECT_TRUE(weighted_fair_allocate(10.0, {}).empty());
+  EXPECT_TRUE(fair_allocate(10.0, {}).empty());
 }
 
 TEST(WeightedFairAllocate, UndersubscribedEveryoneSatisfied) {
   const std::vector<Claim> claims = {{2.0, 1.0, kBig}, {3.0, 1.0, kBig}};
-  const auto g = weighted_fair_allocate(10.0, claims);
+  const auto g = fair_allocate(10.0, claims);
   EXPECT_DOUBLE_EQ(g[0], 2.0);
   EXPECT_DOUBLE_EQ(g[1], 3.0);
 }
 
 TEST(WeightedFairAllocate, OversubscribedEqualWeightsSplitEvenly) {
   const std::vector<Claim> claims = {{10.0, 1.0, kBig}, {10.0, 1.0, kBig}};
-  const auto g = weighted_fair_allocate(10.0, claims);
+  const auto g = fair_allocate(10.0, claims);
   EXPECT_DOUBLE_EQ(g[0], 5.0);
   EXPECT_DOUBLE_EQ(g[1], 5.0);
 }
 
 TEST(WeightedFairAllocate, WeightsProportionalWhenUnsatisfied) {
   const std::vector<Claim> claims = {{100.0, 3.0, kBig}, {100.0, 1.0, kBig}};
-  const auto g = weighted_fair_allocate(8.0, claims);
+  const auto g = fair_allocate(8.0, claims);
   EXPECT_DOUBLE_EQ(g[0], 6.0);
   EXPECT_DOUBLE_EQ(g[1], 2.0);
 }
@@ -40,35 +41,35 @@ TEST(WeightedFairAllocate, WeightsProportionalWhenUnsatisfied) {
 TEST(WeightedFairAllocate, SurplusRedistributedToHungry) {
   // First claimant needs little; its leftover share goes to the second.
   const std::vector<Claim> claims = {{1.0, 1.0, kBig}, {100.0, 1.0, kBig}};
-  const auto g = weighted_fair_allocate(10.0, claims);
+  const auto g = fair_allocate(10.0, claims);
   EXPECT_DOUBLE_EQ(g[0], 1.0);
   EXPECT_DOUBLE_EQ(g[1], 9.0);
 }
 
 TEST(WeightedFairAllocate, CapsBindBeforeDemand) {
   const std::vector<Claim> claims = {{100.0, 1.0, 2.0}, {100.0, 1.0, kBig}};
-  const auto g = weighted_fair_allocate(10.0, claims);
+  const auto g = fair_allocate(10.0, claims);
   EXPECT_DOUBLE_EQ(g[0], 2.0);
   EXPECT_DOUBLE_EQ(g[1], 8.0);
 }
 
 TEST(WeightedFairAllocate, ZeroCapGetsNothing) {
   const std::vector<Claim> claims = {{5.0, 1.0, 0.0}, {5.0, 1.0, kBig}};
-  const auto g = weighted_fair_allocate(4.0, claims);
+  const auto g = fair_allocate(4.0, claims);
   EXPECT_DOUBLE_EQ(g[0], 0.0);
   EXPECT_DOUBLE_EQ(g[1], 4.0);
 }
 
 TEST(WeightedFairAllocate, ZeroDemandGetsNothing) {
   const std::vector<Claim> claims = {{0.0, 1.0, kBig}, {5.0, 1.0, kBig}};
-  const auto g = weighted_fair_allocate(10.0, claims);
+  const auto g = fair_allocate(10.0, claims);
   EXPECT_DOUBLE_EQ(g[0], 0.0);
   EXPECT_DOUBLE_EQ(g[1], 5.0);
 }
 
 TEST(WeightedFairAllocate, ZeroCapacity) {
   const std::vector<Claim> claims = {{5.0, 1.0, kBig}};
-  const auto g = weighted_fair_allocate(0.0, claims);
+  const auto g = fair_allocate(0.0, claims);
   EXPECT_DOUBLE_EQ(g[0], 0.0);
 }
 
@@ -76,7 +77,7 @@ TEST(WeightedFairAllocate, ThreeTierWaterfill) {
   // capacity 12, equal weights: fair share 4; A capped at 1 -> surplus to
   // B and C; B needs only 5, C soaks the rest.
   const std::vector<Claim> claims = {{10.0, 1.0, 1.0}, {5.0, 1.0, kBig}, {100.0, 1.0, kBig}};
-  const auto g = weighted_fair_allocate(12.0, claims);
+  const auto g = fair_allocate(12.0, claims);
   EXPECT_DOUBLE_EQ(g[0], 1.0);
   EXPECT_DOUBLE_EQ(g[1], 5.0);
   EXPECT_DOUBLE_EQ(g[2], 6.0);
@@ -97,7 +98,7 @@ TEST_P(AllocationProperties, InvariantsHold) {
     claims.push_back(c);
   }
   const double capacity = rng.uniform(0.0, 40.0);
-  const auto g = weighted_fair_allocate(capacity, claims);
+  const auto g = fair_allocate(capacity, claims);
 
   ASSERT_EQ(g.size(), claims.size());
   double total = 0.0;

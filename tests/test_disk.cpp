@@ -2,6 +2,7 @@
 
 #include "hw/disk.hpp"
 #include "sim/stats.hpp"
+#include "hw_grants.hpp"
 
 namespace perfcloud::hw {
 namespace {
@@ -28,7 +29,7 @@ TenantDemand io_demand(double ops, sim::Bytes bytes, double cap_bps = kNoCap) {
 TEST(BlockDevice, NoDemandNoGrant) {
   BlockDevice disk = make_disk();
   const std::vector<TenantDemand> d = {io_demand(0.0, 0.0)};
-  const auto g = disk.serve(1.0, d);
+  const auto g = serve(disk, 1.0, d);
   EXPECT_DOUBLE_EQ(g[0].ops, 0.0);
   EXPECT_DOUBLE_EQ(g[0].bytes, 0.0);
   EXPECT_DOUBLE_EQ(g[0].wait_seconds, 0.0);
@@ -37,7 +38,7 @@ TEST(BlockDevice, NoDemandNoGrant) {
 TEST(BlockDevice, LightLoadFullyServed) {
   BlockDevice disk = make_disk();
   const std::vector<TenantDemand> d = {io_demand(10.0, 1.0e6)};
-  const auto g = disk.serve(1.0, d);
+  const auto g = serve(disk, 1.0, d);
   EXPECT_NEAR(g[0].ops, 10.0, 1e-9);
   EXPECT_NEAR(g[0].bytes, 1.0e6, 1e-9);
   EXPECT_LT(disk.last_utilization(), 0.2);
@@ -47,7 +48,7 @@ TEST(BlockDevice, OpsBoundSaturation) {
   BlockDevice disk = make_disk();
   // 400 small ops demanded; device does 100 ops/s -> 4x oversubscribed.
   const std::vector<TenantDemand> d = {io_demand(400.0, 400.0 * 4096)};
-  const auto g = disk.serve(1.0, d);
+  const auto g = serve(disk, 1.0, d);
   EXPECT_NEAR(g[0].ops, 100.0, 2.0);
   EXPECT_GT(disk.last_utilization(), 3.5);
 }
@@ -56,7 +57,7 @@ TEST(BlockDevice, BytesBoundSaturation) {
   BlockDevice disk = make_disk();
   // 300 MB in large requests; bw 100 MB/s dominates.
   const std::vector<TenantDemand> d = {io_demand(300.0, 300.0e6)};
-  const auto g = disk.serve(1.0, d);
+  const auto g = serve(disk, 1.0, d);
   EXPECT_LT(g[0].bytes, 110.0e6);
   EXPECT_GT(g[0].bytes, 20.0e6);
 }
@@ -64,7 +65,7 @@ TEST(BlockDevice, BytesBoundSaturation) {
 TEST(BlockDevice, ThrottleCapsThroughput) {
   BlockDevice disk = make_disk();
   const std::vector<TenantDemand> d = {io_demand(50.0, 50.0e6, /*cap=*/10.0e6)};
-  const auto g = disk.serve(1.0, d);
+  const auto g = serve(disk, 1.0, d);
   EXPECT_LE(g[0].bytes, 10.0e6 + 1e-6);
   // Ops scale down with bytes (request mix preserved).
   EXPECT_NEAR(g[0].ops / 50.0, g[0].bytes / 50.0e6, 1e-9);
@@ -74,7 +75,7 @@ TEST(BlockDevice, ThrottleIopsCap) {
   BlockDevice disk = make_disk();
   TenantDemand d = io_demand(80.0, 80.0 * 4096);
   d.io_cap_iops = 20.0;
-  const auto g = disk.serve(1.0, {&d, 1});
+  const auto g = serve(disk, 1.0, {&d, 1});
   EXPECT_LE(g[0].ops, 20.0 + 1e-6);
 }
 
@@ -82,7 +83,7 @@ TEST(BlockDevice, EqualTenantsGetEqualService) {
   BlockDevice disk = make_disk();
   const std::vector<TenantDemand> d = {io_demand(400.0, 400.0 * 4096),
                                        io_demand(400.0, 400.0 * 4096)};
-  const auto g = disk.serve(1.0, d);
+  const auto g = serve(disk, 1.0, d);
   EXPECT_NEAR(g[0].ops, g[1].ops, 1e-6);
 }
 
@@ -90,7 +91,7 @@ TEST(BlockDevice, WeightedTenantsSplitProportionally) {
   BlockDevice disk = make_disk();
   std::vector<TenantDemand> d = {io_demand(400.0, 400.0 * 4096), io_demand(400.0, 400.0 * 4096)};
   d[0].io_weight = 3.0;
-  const auto g = disk.serve(1.0, d);
+  const auto g = serve(disk, 1.0, d);
   EXPECT_NEAR(g[0].ops / g[1].ops, 3.0, 0.01);
 }
 
@@ -106,11 +107,11 @@ TEST(BlockDevice, WaitGrowsWithContention) {
   double wait_shared = 0.0;
   double ops_shared = 0.0;
   for (int t = 0; t < 50; ++t) {
-    const auto ga = alone.serve(1.0, {&victim, 1});
+    const auto ga = serve(alone, 1.0, {&victim, 1});
     wait_alone += ga[0].wait_seconds;
     ops_alone += ga[0].ops;
     const std::vector<TenantDemand> both = {victim, hog};
-    const auto gs = shared.serve(1.0, both);
+    const auto gs = serve(shared, 1.0, both);
     wait_shared += gs[0].wait_seconds;
     ops_shared += gs[0].ops;
   }
@@ -127,8 +128,8 @@ TEST(BlockDevice, WaitPerOpScalesWithUtilization) {
   // Same request mix at 20 % vs 400 % of the op capacity.
   const std::vector<TenantDemand> d_light = {io_demand(20.0, 20.0 * 4096)};
   const std::vector<TenantDemand> d_heavy = {io_demand(400.0, 400.0 * 4096)};
-  const auto gl = light.serve(1.0, d_light);
-  const auto gh = heavy.serve(1.0, d_heavy);
+  const auto gl = serve(light, 1.0, d_light);
+  const auto gh = serve(heavy, 1.0, d_heavy);
   const double ratio_light = gl[0].wait_seconds / gl[0].ops;
   const double ratio_heavy = gh[0].wait_seconds / gh[0].ops;
   EXPECT_GT(ratio_heavy, 10.0 * ratio_light);
@@ -149,10 +150,10 @@ TEST(BlockDevice, BurstyNeighbourSpreadsWaits) {
   double bursty_gap = 0.0;
   for (int t = 0; t < 100; ++t) {
     const std::vector<TenantDemand> fw = {victim, victim, fair_hog};
-    const auto gf = fair_world.serve(0.1, fw);
+    const auto gf = serve(fair_world, 0.1, fw);
     fair_gap += std::abs(gf[0].wait_seconds / gf[0].ops - gf[1].wait_seconds / gf[1].ops);
     const std::vector<TenantDemand> bw = {victim, victim, bursty_hog};
-    const auto gb = bursty_world.serve(0.1, bw);
+    const auto gb = serve(bursty_world, 0.1, bw);
     bursty_gap += std::abs(gb[0].wait_seconds / gb[0].ops - gb[1].wait_seconds / gb[1].ops);
   }
   EXPECT_GT(bursty_gap, 3.0 * fair_gap);
@@ -164,8 +165,8 @@ TEST(BlockDevice, JitterIsDeterministicPerSeed) {
   const std::vector<TenantDemand> d = {io_demand(50.0, 50.0 * 4096),
                                        io_demand(80.0, 80.0 * 4096)};
   for (int t = 0; t < 10; ++t) {
-    const auto ga = a.serve(0.5, d);
-    const auto gb = b.serve(0.5, d);
+    const auto ga = serve(a, 0.5, d);
+    const auto gb = serve(b, 0.5, d);
     for (std::size_t i = 0; i < d.size(); ++i) {
       EXPECT_DOUBLE_EQ(ga[i].wait_seconds, gb[i].wait_seconds);
       EXPECT_DOUBLE_EQ(ga[i].ops, gb[i].ops);
@@ -176,7 +177,7 @@ TEST(BlockDevice, JitterIsDeterministicPerSeed) {
 TEST(BlockDevice, ZeroTickIsSafe) {
   BlockDevice disk = make_disk();
   const std::vector<TenantDemand> d = {io_demand(10.0, 1e6)};
-  const auto g = disk.serve(0.0, d);
+  const auto g = serve(disk, 0.0, d);
   EXPECT_DOUBLE_EQ(g[0].ops, 0.0);
 }
 
@@ -184,7 +185,7 @@ TEST(BlockDevice, ThrottledTenantDoesNotBlockOthers) {
   BlockDevice disk = make_disk();
   const std::vector<TenantDemand> d = {io_demand(500.0, 500.0 * 4096, /*cap=*/4096.0 * 5),
                                        io_demand(50.0, 50.0 * 512 * 1024)};
-  const auto g = disk.serve(1.0, d);
+  const auto g = serve(disk, 1.0, d);
   EXPECT_LE(g[0].ops, 5.5);
   // Tenant 1 gets nearly its full demand now that the hog is throttled.
   EXPECT_GT(g[1].ops, 40.0);

@@ -118,6 +118,27 @@ TEST(Framework, KillUnknownOrFinishedIsNoop) {
   EXPECT_TRUE(c.framework->find_job(id)->completed());
 }
 
+TEST(Framework, FindJobMapsEveryIdAndRejectsOutOfRange) {
+  exp::Cluster c = small_cluster();
+  const JobId solo = c.framework->submit(tiny_job());
+  const std::vector<JobId> clones = c.framework->submit_cloned(tiny_job(), 3);
+  const auto& jobs = c.framework->jobs();
+  ASSERT_EQ(jobs.size(), 4u);
+  EXPECT_EQ(c.framework->find_job(solo), jobs[0].get());
+  for (const JobId id : clones) {
+    const Job* job = c.framework->find_job(id);
+    ASSERT_NE(job, nullptr);
+    EXPECT_EQ(job->id(), id);
+  }
+  const auto size = static_cast<JobId>(jobs.size());
+  EXPECT_EQ(c.framework->find_job(0), nullptr);
+  EXPECT_EQ(c.framework->find_job(-1), nullptr);
+  EXPECT_EQ(c.framework->find_job(size + 1), nullptr);
+  const ScaleOutFramework& fw = *c.framework;
+  EXPECT_EQ(fw.find_job(size + 1), nullptr);
+  EXPECT_EQ(fw.find_job(clones.back()), jobs.back().get());
+}
+
 TEST(Framework, GroupJctNegativeWhenNothingCompleted) {
   exp::Cluster c = small_cluster();
   EXPECT_LT(c.framework->group_jct(1), 0.0);

@@ -4,6 +4,7 @@
 
 #include "hw/server.hpp"
 #include "sim/rng.hpp"
+#include "hw_grants.hpp"
 
 namespace perfcloud::hw {
 namespace {
@@ -36,7 +37,7 @@ TEST_P(ServerProperties, ArbitrationInvariants) {
     std::vector<TenantDemand> demands;
     for (int i = 0; i < n; ++i) demands.push_back(random_demand(rng));
     const double dt = rng.uniform(0.05, 1.0);
-    const auto grants = server.arbitrate(dt, demands);
+    const auto grants = arbitrate(server, dt, demands);
     ASSERT_EQ(grants.size(), demands.size());
 
     double cpu_total = 0.0;
@@ -96,7 +97,7 @@ TEST_P(DiskConservation, DeviceTimeNeverOversubscribed) {
     std::vector<TenantDemand> demands;
     for (int i = 0; i < n; ++i) demands.push_back(random_demand(rng));
     const double dt = rng.uniform(0.05, 0.5);
-    const auto grants = disk.serve(dt, demands);
+    const auto grants = serve(disk, dt, demands);
 
     double device_seconds = 0.0;
     for (const DiskGrant& g : grants) {
@@ -123,7 +124,7 @@ TEST_P(MemoryConservation, BandwidthAndMissInvariants) {
       cpu.push_back(rng.uniform(0.0, 4.0));
     }
     const double dt = rng.uniform(0.05, 0.5);
-    const auto grants = mem.compute(dt, demands, cpu);
+    const auto grants = compute(mem, dt, demands, cpu);
 
     double bw_total = 0.0;
     for (std::size_t i = 0; i < grants.size(); ++i) {

@@ -14,7 +14,9 @@
 #include "exp/cluster.hpp"
 #include "exp/event_sink.hpp"
 #include "sim/alloc_gauge.hpp"
+#include "virt/hypervisor.hpp"
 #include "workloads/benchmarks.hpp"
+#include "workloads/worker.hpp"
 
 namespace perfcloud::core {
 namespace {
@@ -166,6 +168,57 @@ TEST(AllocGate, UnresolvableCollisionQuantumIsAllocationFree) {
   EXPECT_EQ(after.allocs - before.allocs, 0u)
       << "escalation-armed steady state allocated: " << (after.allocs - before.allocs)
       << " allocations over " << kQuanta << " quanta";
+}
+
+TEST(AllocGate, WarmedBusyHostTickPerformsZeroHeapAllocations) {
+  // The hw arbitration under every busy host tick writes into retained
+  // per-host scratch (DESIGN.md §5i). A 1-socket host runs every tenant
+  // through one memory model; a 2-socket host partitions them per socket.
+  ASSERT_TRUE(sim::alloc_gauge_linked());
+  for (const int sockets : {1, 2}) {
+    SCOPED_TRACE(sockets == 1 ? "1-socket host" : "2-socket host");
+    exp::ClusterParams p;
+    p.workers = 6;
+    p.seed = 47;
+    p.shards = 1;
+    p.server.sockets = sockets;
+    exp::Cluster c = exp::make_cluster(p);
+    exp::add_fio(c, "host-0", wl::FioRandomRead::Params{.duration_s = 10000.0});
+    exp::add_stream(c, "host-0", wl::StreamBenchmark::Params{.duration_s = 10000.0});
+    c.framework->submit(wl::make_terasort(24, 24));
+    exp::run_for(c, 30.0);
+
+    // The host must be busy: scale-out workers mid-task next to the
+    // antagonists, so each tick takes the full arbitration path.
+    virt::Hypervisor& hv = c.cloud->host("host-0");
+    sim::SimTime now = c.engine->now();
+    ASSERT_FALSE(hv.is_quiescent(now));
+    int running = 0;
+    for (const auto& vm : hv.vms()) {
+      if (const auto* w = dynamic_cast<const wl::ScaleOutWorker*>(vm->guest())) {
+        running += static_cast<int>(w->attempts().size());
+      }
+    }
+    ASSERT_GT(running, 0);
+
+    // Tick by hand (the engine is idle, so this thread owns the host). A
+    // few warm-up ticks first, then the measured ones.
+    const double dt = p.tick_dt;
+    for (int i = 0; i < 5; ++i) {
+      now += dt;
+      hv.tick(now, dt);
+    }
+    const sim::AllocGaugeSnapshot before = sim::alloc_gauge_read();
+    constexpr int kTicks = 40;
+    for (int i = 0; i < kTicks; ++i) {
+      now += dt;
+      hv.tick(now, dt);
+    }
+    const sim::AllocGaugeSnapshot after = sim::alloc_gauge_read();
+    EXPECT_EQ(after.allocs - before.allocs, 0u)
+        << "busy host tick allocated: " << (after.allocs - before.allocs) << " allocations, "
+        << (after.bytes - before.bytes) << " bytes over " << kTicks << " ticks";
+  }
 }
 
 }  // namespace

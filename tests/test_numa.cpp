@@ -6,6 +6,7 @@
 #include "hw/server.hpp"
 #include "workloads/antagonists.hpp"
 #include "workloads/benchmarks.hpp"
+#include "hw_grants.hpp"
 
 namespace perfcloud::hw {
 namespace {
@@ -47,21 +48,21 @@ TEST(Numa, CrossSocketTenantsDoNotInterfere) {
   Server s(dual_socket(), sim::Rng(1));
   // Victim on socket 1, streamer on socket 0: victim keeps its base CPI.
   const std::vector<TenantDemand> d = {streamer(0), victim(1)};
-  const auto g = s.arbitrate(1.0, d);
+  const auto g = arbitrate(s, 1.0, d);
   EXPECT_NEAR(g[1].cpi, 1.0, 0.05);
 }
 
 TEST(Numa, SameSocketTenantsDoInterfere) {
   Server s(dual_socket(), sim::Rng(1));
   const std::vector<TenantDemand> d = {streamer(0), victim(0)};
-  const auto g = s.arbitrate(1.0, d);
+  const auto g = arbitrate(s, 1.0, d);
   EXPECT_GT(g[1].cpi, 1.3);
 }
 
 TEST(Numa, OutOfRangeNodeIsClamped) {
   Server s(dual_socket(), sim::Rng(1));
   const std::vector<TenantDemand> d = {victim(99)};  // clamped to socket 1
-  const auto g = s.arbitrate(1.0, d);
+  const auto g = arbitrate(s, 1.0, d);
   EXPECT_GT(g[0].instructions, 0.0);
 }
 
@@ -71,14 +72,14 @@ TEST(Numa, SingleSocketIgnoresNodeTags) {
   cfg.memory.placement_spread_sigma = 0.0;
   Server s(cfg, sim::Rng(1));
   const std::vector<TenantDemand> d = {streamer(0), victim(1)};
-  const auto g = s.arbitrate(1.0, d);
+  const auto g = arbitrate(s, 1.0, d);
   EXPECT_GT(g[1].cpi, 1.3);  // everyone shares the one domain
 }
 
 TEST(Numa, BandwidthUtilizationIsMaxOverSockets) {
   Server s(dual_socket(), sim::Rng(1));
   const std::vector<TenantDemand> d = {streamer(0), victim(1)};
-  (void)s.arbitrate(1.0, d);
+  (void)arbitrate(s, 1.0, d);
   EXPECT_GT(s.last_bw_utilization(), 1.0);  // socket 0 saturated by streamer
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "hw/server.hpp"
+#include "hw_grants.hpp"
 
 namespace perfcloud::hw {
 namespace {
@@ -28,7 +29,7 @@ TEST(Server, GrantCombinesAllSubsystems) {
   d.llc_footprint = 4.0 * 1024 * 1024;
   d.mem_bw_per_cpu_sec = 0.5e9;
   d.cpi_base = 1.0;
-  const auto g = s.arbitrate(1.0, {&d, 1});
+  const auto g = arbitrate(s, 1.0, {&d, 1});
   ASSERT_EQ(g.size(), 1u);
   EXPECT_DOUBLE_EQ(g[0].cpu_core_seconds, 2.0);
   EXPECT_DOUBLE_EQ(g[0].cycles, 2.0 * 2.3e9);
@@ -50,13 +51,13 @@ TEST(Server, InstructionsInverseToCpi) {
   heavy.cpi_base = 2.0;
 
   const std::vector<TenantDemand> d = {light, heavy};
-  const auto g = s.arbitrate(1.0, d);
+  const auto g = arbitrate(s, 1.0, d);
   EXPECT_NEAR(g[0].instructions / g[1].instructions, 2.0, 0.01);
 }
 
 TEST(Server, EmptyDemandsAreFine) {
   Server s(r630(), sim::Rng(1));
-  EXPECT_TRUE(s.arbitrate(1.0, {}).empty());
+  EXPECT_TRUE(arbitrate(s, 1.0, {}).empty());
 }
 
 TEST(Server, UtilizationAccessorsReflectLoad) {
@@ -67,7 +68,7 @@ TEST(Server, UtilizationAccessorsReflectLoad) {
   d.io_bytes = 2000.0 * 4096;
   d.llc_footprint = 1e12;
   d.mem_bw_per_cpu_sec = 100e9;
-  const auto g = s.arbitrate(1.0, {&d, 1});
+  const auto g = arbitrate(s, 1.0, {&d, 1});
   (void)g;
   EXPECT_GT(s.last_disk_utilization(), 2.0);
   EXPECT_GT(s.last_bw_utilization(), 1.0);
@@ -83,8 +84,8 @@ TEST(Server, DeterministicForSameSeed) {
   d.llc_footprint = 64.0 * 1024 * 1024;
   d.mem_bw_per_cpu_sec = 1e9;
   for (int t = 0; t < 20; ++t) {
-    const auto ga = a.arbitrate(0.1, {&d, 1});
-    const auto gb = b.arbitrate(0.1, {&d, 1});
+    const auto ga = arbitrate(a, 0.1, {&d, 1});
+    const auto gb = arbitrate(b, 0.1, {&d, 1});
     EXPECT_DOUBLE_EQ(ga[0].io_wait_seconds, gb[0].io_wait_seconds);
     EXPECT_DOUBLE_EQ(ga[0].cpi, gb[0].cpi);
   }
